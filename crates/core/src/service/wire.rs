@@ -85,8 +85,37 @@ fn parse_event(v: &Value) -> Result<ChurnEvent, String> {
     }
 }
 
+/// Largest `k` a `ksp:N` scheme accepts: 8× the paper's k = 8. Yen's
+/// algorithm costs O(k²) in its prefix scans, so an unbounded `k` would let
+/// one request stall the session.
+pub const MAX_KSP_K: usize = 64;
+
+/// Why [`parse_scheme`] rejected a `scheme` string.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SchemeError {
+    /// Not one of [`SCHEME_CHOICES`] (or a zero or non-numeric width).
+    Unknown(String),
+    /// `ksp:N` with `N` above [`MAX_KSP_K`].
+    KspTooLarge(usize),
+}
+
+impl std::fmt::Display for SchemeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SchemeError::Unknown(s) => {
+                write!(f, "unknown scheme '{s}' (valid choices: {SCHEME_CHOICES})")
+            }
+            SchemeError::KspTooLarge(k) => {
+                write!(f, "scheme 'ksp:{k}' exceeds the bound: ksp:N takes 1 <= N <= {MAX_KSP_K}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SchemeError {}
+
 /// Parses a `scheme` string (`ecmp8`, `ksp8`, `ecmp:N`, `ksp:N`, ...).
-pub fn parse_scheme(s: &str) -> Result<RoutingScheme, String> {
+pub fn parse_scheme(s: &str) -> Result<RoutingScheme, SchemeError> {
     let parsed = match s {
         "ecmp8" => Some(RoutingScheme::ecmp8()),
         "ecmp64" => Some(RoutingScheme::ecmp64()),
@@ -96,13 +125,16 @@ pub fn parse_scheme(s: &str) -> Result<RoutingScheme, String> {
             if let Some(raw) = s.strip_prefix("ecmp:") {
                 width(raw).map(|way| RoutingScheme::Ecmp { way })
             } else if let Some(raw) = s.strip_prefix("ksp:") {
-                width(raw).map(|k| RoutingScheme::KShortestPaths { k })
+                match width(raw) {
+                    Some(k) if k > MAX_KSP_K => return Err(SchemeError::KspTooLarge(k)),
+                    k => k.map(|k| RoutingScheme::KShortestPaths { k }),
+                }
             } else {
                 None
             }
         }
     };
-    parsed.ok_or_else(|| format!("unknown scheme '{s}' (valid choices: {SCHEME_CHOICES})"))
+    parsed.ok_or_else(|| SchemeError::Unknown(s.to_string()))
 }
 
 fn parse_query(v: &Value) -> Result<Query, String> {
@@ -113,7 +145,7 @@ fn parse_query(v: &Value) -> Result<Query, String> {
         }
         "path" => {
             let scheme = match v.get_opt("scheme") {
-                Some(raw) => parse_scheme(raw.as_str()?)?,
+                Some(raw) => parse_scheme(raw.as_str()?).map_err(|e| e.to_string())?,
                 None => RoutingScheme::ecmp8(),
             };
             Ok(Query::Path {
@@ -304,8 +336,27 @@ mod tests {
         assert_eq!(parse_scheme("ecmp8").unwrap(), RoutingScheme::ecmp8());
         assert_eq!(parse_scheme("ecmp:4").unwrap(), RoutingScheme::Ecmp { way: 4 });
         assert_eq!(parse_scheme("ksp:3").unwrap(), RoutingScheme::KShortestPaths { k: 3 });
-        assert!(parse_scheme("ospf").unwrap_err().contains(SCHEME_CHOICES));
+        assert!(parse_scheme("ospf").unwrap_err().to_string().contains(SCHEME_CHOICES));
         assert!(parse_scheme("ecmp:0").is_err());
+    }
+
+    #[test]
+    fn ksp_width_is_capped() {
+        let cap = format!("ksp:{MAX_KSP_K}");
+        assert_eq!(parse_scheme(&cap).unwrap(), RoutingScheme::KShortestPaths { k: MAX_KSP_K });
+        let err = parse_scheme("ksp:100000").unwrap_err();
+        assert_eq!(err, SchemeError::KspTooLarge(100_000));
+        assert!(err.to_string().contains(&MAX_KSP_K.to_string()), "{err}");
+        assert_eq!(parse_scheme("ksp:65").unwrap_err(), SchemeError::KspTooLarge(65));
+        assert_eq!(parse_scheme("ksp:0").unwrap_err(), SchemeError::Unknown("ksp:0".into()));
+
+        let mut s = session();
+        let reply = line(
+            &mut s,
+            "{\"op\":\"query\",\"q\":\"path\",\"src\":0,\"dst\":9,\"scheme\":\"ksp:100000\"}",
+        );
+        assert!(reply.starts_with("{\"ok\":false"), "{reply}");
+        assert!(reply.contains("<= 64"), "{reply}");
     }
 
     #[test]

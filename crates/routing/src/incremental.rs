@@ -33,38 +33,19 @@
 //! byte-for-byte over random event sequences on every registered
 //! generator).
 
-use crate::shortest::{all_pairs_distances, DistanceMatrix, UNREACHED};
-use jellyfish_topology::bfs::{ms_bfs_into, MsBfsScratch};
+use crate::shortest::{all_pairs_distances, distance_rows_into, DistanceMatrix, UNREACHED};
 use jellyfish_topology::graph::Edge;
 use jellyfish_topology::{CsrGraph, NodeId};
-use rayon::prelude::*;
 use std::collections::BTreeSet;
 
-/// Sources per multi-source BFS batch; matches the full-rebuild block size
-/// so a repair that touches every row costs what the rebuild costs.
-const REPAIR_BLOCK: usize = 64;
-
-/// Recomputes the rows named in `sources` with the same batched
-/// multi-source BFS the full rebuild uses, in parallel. Returns
-/// `(batch, rows)` blocks for the caller to scatter back into its matrix;
-/// canonical hop distances make the scattered result byte-identical to
-/// serial per-row BFS.
-fn recompute_rows<'s>(
-    csr: &CsrGraph,
-    sources: &'s [NodeId],
-    n: usize,
-) -> Vec<(&'s [NodeId], Vec<u32>)> {
-    sources
-        .chunks(REPAIR_BLOCK)
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|batch| {
-            let mut data = vec![UNREACHED; batch.len() * n];
-            let mut scratch = MsBfsScratch::new(n);
-            ms_bfs_into(csr, batch, &mut data, &mut scratch);
-            (batch, data)
-        })
-        .collect()
+/// Recomputes the rows named in `sources` with the batched multi-source
+/// BFS the full rebuild uses, in parallel, into one row-major buffer
+/// (`sources.len() × n`) for the caller to copy into its matrix; canonical
+/// hop distances make the result byte-identical to serial per-row BFS.
+fn recompute_rows(csr: &CsrGraph, sources: &[NodeId], n: usize) -> Vec<u32> {
+    let mut rows = vec![UNREACHED; sources.len() * n];
+    distance_rows_into(csr, sources, &mut rows);
+    rows
 }
 
 /// An undirected edge-set delta between two topology states.
@@ -187,10 +168,9 @@ pub fn repair_all_pairs(
     if n_new == n_old {
         let sources: Vec<NodeId> =
             affected.iter().enumerate().filter(|&(_, &hit)| hit).map(|(s, _)| s).collect();
-        for (batch, rows) in recompute_rows(csr, &sources, n_new) {
-            for (i, &s) in batch.iter().enumerate() {
-                dist.row_mut(s).copy_from_slice(&rows[i * n_new..(i + 1) * n_new]);
-            }
+        let rows = recompute_rows(csr, &sources, n_new);
+        for (i, &s) in sources.iter().enumerate() {
+            dist.row_mut(s).copy_from_slice(&rows[i * n_new..(i + 1) * n_new]);
         }
         return RepairOutcome {
             repaired_rows: sources.len(),
@@ -215,10 +195,9 @@ pub fn repair_all_pairs(
         .chain(n_old..n_new)
         .collect();
     let repaired = sources.len();
-    for (batch, rows) in recompute_rows(csr, &sources, n_new) {
-        for (i, &s) in batch.iter().enumerate() {
-            data[s * n_new..(s + 1) * n_new].copy_from_slice(&rows[i * n_new..(i + 1) * n_new]);
-        }
+    let rows = recompute_rows(csr, &sources, n_new);
+    for (i, &s) in sources.iter().enumerate() {
+        data[s * n_new..(s + 1) * n_new].copy_from_slice(&rows[i * n_new..(i + 1) * n_new]);
     }
     for s in 0..n_old {
         if !affected[s] {

@@ -5,9 +5,10 @@
 //! is needed to use Jellyfish's capacity. This crate provides:
 //!
 //! * [`shortest`] — BFS shortest paths, rayon-parallel all-pairs distances,
-//!   and weighted Dijkstra (node-pair and dense per-arc weight variants);
-//! * [`yen`] — Yen's loopless k-shortest-paths algorithm (hand-rolled, no
-//!   external graph crate);
+//!   and a Dijkstra over dense per-arc weights (the flow solver's);
+//! * [`yen`] — Yen's loopless k-shortest-paths algorithm on unit weights,
+//!   every spur search a level-ordered masked BFS (hand-rolled, no external
+//!   graph crate);
 //! * [`ecmp`] — enumeration of equal-cost shortest paths with an ECMP-style
 //!   bounded next-hop fan-out and flow hashing;
 //! * [`path_table`] — per source–destination path sets (the routing state a

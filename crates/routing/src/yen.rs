@@ -6,108 +6,172 @@
 //! previously found paths, with links and nodes of the shared prefix masked
 //! out of the shortest-path search.
 //!
-//! This implementation is hand-rolled on top of the crate's Dijkstra (unit
-//! link weights by default), per the reproduction note that no external graph
-//! crate is used.
+//! Links have unit weight (hop count), so every search — the first path and
+//! each spur path — is a breadth-first search over the [`CsrGraph`] with the
+//! masks applied in place:
+//!
+//! * **Masked nodes** (the root prefix before the spur node) are pre-marked
+//!   as visited in a generation-stamped array, so the search never enters
+//!   them and the spliced path stays simple.
+//! * **Masked links** are the links earlier paths sharing the root take out
+//!   of the spur node. Every one of them leaves the spur node, so the search
+//!   checks a slice of at most `k` blocked next-hops, and only while
+//!   expanding the spur node itself.
+//! * **Level order.** Each BFS level is sorted ascending before it is
+//!   expanded, so a node's parent is the smallest-id predecessor one level
+//!   up. That is exactly the tree a `(dist, node)` min-heap Dijkstra builds
+//!   on unit weights: equal distances pop in ascending id, a node's first
+//!   relaxation comes from the first popped neighbour one level up, and no
+//!   node is ever relaxed twice. The paths (and so the whole output) are
+//!   identical to a weighted-Dijkstra Yen with unit weights; the routing
+//!   crate's differential proptest pins this against such an oracle.
+//! * **Early exit.** The search stops when it discovers `dst`: every node
+//!   on its parent chain was settled on an earlier level.
+//!
+//! The stamp, parent and frontier buffers are allocated once per
+//! [`k_shortest_paths`] call and reused by every spur search. Candidates are
+//! kept in a `BTreeSet` keyed by `(hops, path)`, so the output is sorted by
+//! length and then lexically, and duplicates reached from different spur
+//! nodes collapse.
+//!
+//! Hand-rolled per the reproduction note that no external graph crate is
+//! used.
 
-use crate::shortest::weighted_shortest_path;
-use crate::Path;
+use crate::{path_hops, Path};
 use jellyfish_topology::{CsrGraph, NodeId};
 use rayon::prelude::*;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// Finds up to `k` loopless shortest paths from `src` to `dst` using unit
 /// link weights (hop count). Paths are returned sorted by (length, lexical
 /// order) and are pairwise distinct. Returns an empty vector if `dst` is
 /// unreachable; returns `[[src]]` when `src == dst`.
 pub fn k_shortest_paths(csr: &CsrGraph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-    k_shortest_paths_weighted(csr, src, dst, k, |_, _| 1.0)
-}
-
-/// Weighted variant of [`k_shortest_paths`]; `weight(u, v)` must be positive
-/// and finite for every link.
-pub fn k_shortest_paths_weighted<F>(
-    csr: &CsrGraph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    weight: F,
-) -> Vec<Path>
-where
-    F: Fn(NodeId, NodeId) -> f64 + Copy,
-{
     if k == 0 {
         return Vec::new();
     }
     if src == dst {
         return vec![vec![src]];
     }
-    let Some((first, _)) = weighted_shortest_path(csr, src, dst, weight) else {
+    let mut search = SpurSearch::new(csr.num_nodes());
+    let Some(first) = search.run(csr, src, dst, &[], &[]) else {
         return Vec::new();
     };
 
     let mut found: Vec<Path> = vec![first];
-    // Candidate set keyed by (cost, path) to keep deterministic ordering and
-    // deduplicate spur results found via different prefixes.
-    let mut candidates: BTreeSet<(CostKey, Path)> = BTreeSet::new();
+    let mut candidates: BTreeSet<(usize, Path)> = BTreeSet::new();
+    let mut blocked: Vec<NodeId> = Vec::new();
 
     while found.len() < k {
-        let last = found.last().expect("at least one path found").clone();
+        let last = &found[found.len() - 1];
         // Each node of the previous path except the final one is a spur node.
         for spur_idx in 0..last.len() - 1 {
-            let spur_node = last[spur_idx];
-            let root: Vec<NodeId> = last[..=spur_idx].to_vec();
-
-            // Links to mask: for every found path sharing this root, the link
-            // it takes out of the spur node.
-            let mut masked_links: HashSet<(NodeId, NodeId)> = HashSet::new();
-            for p in &found {
-                if p.len() > spur_idx && p[..=spur_idx] == root[..] {
-                    let a = p[spur_idx];
-                    let b = p[spur_idx + 1];
-                    masked_links.insert((a.min(b), a.max(b)));
-                }
-            }
-            // Nodes of the root (except the spur node) are masked entirely to
-            // keep paths simple.
-            let masked_nodes: HashSet<NodeId> = root[..spur_idx].iter().copied().collect();
-
-            let spur_weight = |u: NodeId, v: NodeId| {
-                if masked_nodes.contains(&u) || masked_nodes.contains(&v) {
-                    return f64::INFINITY;
-                }
-                if masked_links.contains(&(u.min(v), u.max(v))) {
-                    return f64::INFINITY;
-                }
-                weight(u, v)
+            let root = &last[..=spur_idx];
+            // Every found path sharing this root blocks the link it takes
+            // out of the spur node. (Such a path is longer than the root:
+            // it ends at `dst`, which is not on the root.)
+            blocked.clear();
+            blocked.extend(
+                found
+                    .iter()
+                    .filter(|p| p.len() > spur_idx + 1 && p[..=spur_idx] == *root)
+                    .map(|p| p[spur_idx + 1]),
+            );
+            let Some(spur) = search.run(csr, root[spur_idx], dst, &root[..spur_idx], &blocked)
+            else {
+                continue;
             };
-            if let Some((spur_path, _)) = weighted_shortest_path(csr, spur_node, dst, spur_weight) {
-                let mut total: Path = root[..spur_idx].to_vec();
-                total.extend(spur_path);
-                // Guard against any residual loop (should not happen).
-                if has_duplicate(&total) {
-                    continue;
-                }
-                if found.contains(&total) {
-                    continue;
-                }
-                let cost = path_cost(&total, weight);
-                candidates.insert((CostKey(cost), total));
+            let mut total: Path = root[..spur_idx].to_vec();
+            total.extend(spur);
+            if !found.contains(&total) {
+                candidates.insert((path_hops(&total), total));
             }
         }
-        // Pop the cheapest candidate not yet in the result set.
+        // Pop the shortest candidate not yet in the result set.
         let next = loop {
-            let Some(entry) = candidates.iter().next().cloned() else {
+            let Some((_, path)) = candidates.pop_first() else {
                 return found;
             };
-            candidates.remove(&entry);
-            if !found.contains(&entry.1) {
-                break entry.1;
+            if !found.contains(&path) {
+                break path;
             }
         };
         found.push(next);
     }
     found
+}
+
+/// Reusable state of the masked unit-weight BFS behind every Yen search.
+struct SpurSearch {
+    /// `stamp[v] == epoch` marks `v` visited (or masked) in the current
+    /// search; bumping `epoch` clears the array in O(1).
+    stamp: Vec<usize>,
+    epoch: usize,
+    /// BFS parent of each node visited in the current search.
+    parent: Vec<NodeId>,
+    frontier: Vec<NodeId>,
+    next: Vec<NodeId>,
+}
+
+impl SpurSearch {
+    fn new(n: usize) -> Self {
+        SpurSearch {
+            stamp: vec![0; n],
+            epoch: 0,
+            parent: vec![0; n],
+            frontier: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    /// Shortest `from → dst` path that avoids the `masked` nodes and the
+    /// links `from → b` for every `b` in `blocked`, with the smallest-id
+    /// parent at every level; `None` when `dst` is cut off.
+    fn run(
+        &mut self,
+        csr: &CsrGraph,
+        from: NodeId,
+        dst: NodeId,
+        masked: &[NodeId],
+        blocked: &[NodeId],
+    ) -> Option<Path> {
+        self.epoch += 1;
+        let SpurSearch { stamp, epoch, parent, frontier, next } = self;
+        let epoch = *epoch;
+        for &m in masked {
+            stamp[m] = epoch;
+        }
+        stamp[from] = epoch;
+        frontier.clear();
+        frontier.push(from);
+        while !frontier.is_empty() {
+            next.clear();
+            for &u in frontier.iter() {
+                for &v in csr.neighbors(u) {
+                    let v = v as NodeId;
+                    if stamp[v] == epoch || (u == from && blocked.contains(&v)) {
+                        continue;
+                    }
+                    stamp[v] = epoch;
+                    parent[v] = u;
+                    if v == dst {
+                        let mut path = vec![dst];
+                        let mut cur = dst;
+                        while cur != from {
+                            cur = parent[cur];
+                            path.push(cur);
+                        }
+                        path.reverse();
+                        return Some(path);
+                    }
+                    next.push(v);
+                }
+            }
+            next.sort_unstable();
+            std::mem::swap(frontier, next);
+        }
+        None
+    }
 }
 
 /// All-pairs k-shortest paths; `paths[s][d]` holds the path set from `s` to
@@ -124,33 +188,6 @@ pub fn all_pairs_k_shortest(csr: &CsrGraph, k: usize) -> Vec<Vec<Vec<Path>>> {
                 .collect()
         })
         .collect()
-}
-
-fn has_duplicate(path: &Path) -> bool {
-    let mut seen = HashSet::with_capacity(path.len());
-    path.iter().any(|&n| !seen.insert(n))
-}
-
-fn path_cost<F: Fn(NodeId, NodeId) -> f64>(path: &Path, weight: F) -> f64 {
-    path.windows(2).map(|w| weight(w[0], w[1])).sum()
-}
-
-/// Ordered f64 key for the candidate set (costs are finite by construction).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CostKey(f64);
-
-impl Eq for CostKey {}
-
-impl PartialOrd for CostKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for CostKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).unwrap_or(std::cmp::Ordering::Equal)
-    }
 }
 
 #[cfg(test)]
@@ -244,21 +281,6 @@ mod tests {
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].len(), 4);
         assert_eq!(paths[1].len(), 4);
-    }
-
-    #[test]
-    fn weighted_paths_respect_weights() {
-        let g = diamond();
-        // Make the 0-1 link very expensive: the cheapest path must avoid it.
-        let weight = |u: usize, v: usize| {
-            if (u.min(v), u.max(v)) == (0, 1) {
-                10.0
-            } else {
-                1.0
-            }
-        };
-        let paths = k_shortest_paths_weighted(&g, 0, 3, 3, weight);
-        assert_eq!(paths[0], vec![0, 4, 3]);
     }
 
     #[test]
